@@ -1,9 +1,9 @@
 #include "core/gravity_pressure.h"
 
-#include <unordered_map>
 #include <vector>
 
 #include "core/fault.h"
+#include "core/vertex_table.h"
 
 namespace smallworld {
 
@@ -24,9 +24,7 @@ RoutingResult route_impl(const GraphView& graph, const Objective& objective,
         return result;
     }
 
-    // Audited lookup-only (find/operator[]): per-vertex visit counts are
-    // only queried point-wise, never iterated.
-    std::unordered_map<Vertex, std::size_t> visits;
+    VertexTable<std::size_t> visits;  // pressure-mode visit count per vertex
     std::vector<double> scratch;  // batched neighbor objectives, reused per scan
     std::vector<Vertex> adv_scratch;  // advertised-neighbor merge buffer
     bool pressure = false;
@@ -123,8 +121,8 @@ RoutingResult route_impl(const GraphView& graph, const Objective& objective,
             for (std::size_t i = 0; i < neighbors.size(); ++i) {
                 const Vertex u = neighbors[i];
                 if (faults.active() && !faults.usable(current, u)) continue;
-                const auto it = visits.find(u);
-                const std::size_t u_visits = it == visits.end() ? 0 : it->second;
+                const std::size_t* const seen = visits.find(u);
+                const std::size_t u_visits = seen == nullptr ? 0 : *seen;
                 const double u_value = scratch[i];
                 if (next == kNoVertex || u_visits < best_visits ||
                     (u_visits == best_visits && u_value > best_value)) {

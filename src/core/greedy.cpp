@@ -52,7 +52,7 @@ RoutingResult GreedyRouter::route(const GraphView& graph, const Objective& objec
         }
         // Pull the next hop's adjacency row toward the cache while this
         // iteration finishes bookkeeping; its scan starts a few cycles out.
-        if (options.prefetch) graph.prefetch_neighbors(next.vertex);
+        graph.prefetch_neighbors(next.vertex);
         result.path.push_back(next.vertex);
         current = next.vertex;
         current_value = next.value;

@@ -1,11 +1,14 @@
 #include "core/phi_dfs.h"
 
+#include <algorithm>
+#include <bit>
+#include <cstdint>
 #include <limits>
 #include <span>
-#include <unordered_map>
 #include <vector>
 
 #include "core/fault.h"
+#include "core/vertex_table.h"
 
 namespace smallworld {
 
@@ -14,12 +17,26 @@ namespace {
 constexpr double kUnset = std::numeric_limits<double>::quiet_NaN();
 constexpr double kNegInf = -std::numeric_limits<double>::infinity();
 
-/// Constant per-vertex memory of Algorithm 2 (lines 30-42).
+constexpr std::uint32_t kNoOrder = std::numeric_limits<std::uint32_t>::max();
+
+/// Constant per-vertex memory of Algorithm 2 (lines 30-42), plus the walk's
+/// own bookkeeping for the ordered child cursor (see next_child()).
 struct VertexState {
-    double phi = kUnset;           // v.Phi: which Phi-DFS last visited v
-    double previous_phi = kUnset;  // v.previous_Phi: paused DFS to resume
-    Vertex parent = kNoVertex;     // v.parent: backtracking pointer
-    bool started_new_dfs = false;  // v.started_new_dfs
+    double phi = kUnset;             // v.Phi: which Phi-DFS last visited v
+    double previous_phi = kUnset;    // v.previous_Phi: paused DFS to resume
+    Vertex parent = kNoVertex;       // v.parent: backtracking pointer
+    std::uint32_t order = kNoOrder;  // start of v's ordered row in orders_
+    std::uint32_t order_size = 0;    // entries in that row
+    std::uint32_t backtracks = 0;    // line-19 queries answered at v so far
+    bool started_new_dfs = false;    // v.started_new_dfs
+};
+
+/// One entry of a vertex's ordered row: a usable neighbor with its
+/// objective and its position in the scanned row (the tie-break).
+struct OrderEntry {
+    double value;
+    Vertex vertex;
+    std::uint32_t position;
 };
 
 class Run {
@@ -30,7 +47,6 @@ public:
           objective_(objective),
           source_(source),
           max_steps_(options.effective_max_steps(graph.num_vertices())),
-          prefetch_(options.prefetch),
           faults_(options.faults, source),
           adversary_(options.adversary) {}
 
@@ -75,22 +91,22 @@ public:
                     last_visited_ = v;
                     backtrack_upper_ = objective_.value(v);
                     op = Op::kBacktrack;
-                    maybe_prefetch(back);
+                    graph_.prefetch_neighbors(back);
                     v = back;
                     continue;
                 }
                 // Lines 10-13.
                 const double phi_v = objective_.value(v);
-                if (phi_v > best_seen_) set_new_phi(v, phi_v);
+                if (phi_v > best_seen_) set_new_phi(v, st, phi_v);
                 // INIT_VERTEX(v): mark as visited in the current Phi-DFS.
                 st.phi = message_phi_;
                 st.parent = last_visited_;
                 // Lines 14-17: descend to the best neighbor if any neighbor
                 // reaches the current Phi; otherwise backtrack.
-                const BestNeighbor best = best_any_neighbor(v);
+                const BestNeighbor best = best_any_neighbor(v, st);
                 if (best.vertex != kNoVertex && best.value >= message_phi_) {
                     last_visited_ = v;
-                    maybe_prefetch(best.vertex);
+                    graph_.prefetch_neighbors(best.vertex);
                     v = best.vertex;
                     continue;  // EXPLORE(best)
                 }
@@ -98,7 +114,7 @@ public:
                 last_visited_ = v;
                 backtrack_upper_ = objective_.value(v);
                 op = Op::kBacktrack;
-                maybe_prefetch(back);
+                graph_.prefetch_neighbors(back);
                 v = back;
                 continue;
             }
@@ -117,12 +133,12 @@ public:
                 continue;
             }
             VertexState& st = state_[v];
-            const Vertex child = best_unexplored_child(v, st.parent);
+            const Vertex child = next_child(v, st);
             if (child != kNoVertex) {
                 // Lines 20-22: continue the DFS into the next-best child.
                 last_visited_ = v;
                 op = Op::kExplore;
-                maybe_prefetch(child);
+                graph_.prefetch_neighbors(child);
                 v = child;
                 continue;
             }
@@ -154,25 +170,17 @@ public:
             const Vertex up = st.parent;
             last_visited_ = v;
             backtrack_upper_ = objective_.value(v);
-            maybe_prefetch(up);
+            graph_.prefetch_neighbors(up);
             v = up;
         }
     }
 
 private:
-    /// Software-prefetch of the chosen next vertex's adjacency row; a pure
-    /// memory-system hint issued at every walk transition (see
-    /// RoutingOptions::prefetch).
-    void maybe_prefetch(Vertex v) const noexcept {
-        if (prefetch_) graph_.prefetch_neighbors(v);
-    }
-
-    /// SET_NEW_PHI(v, m), lines 30-35.
-    void set_new_phi(Vertex v, double phi_v) {
+    /// SET_NEW_PHI(v, m), lines 30-35; `st` is v's state.
+    void set_new_phi(Vertex v, VertexState& st, double phi_v) {
         best_seen_ = phi_v;
-        const BestNeighbor best = best_any_neighbor(v);
+        const BestNeighbor best = best_any_neighbor(v, st);
         if (best.vertex != kNoVertex && best.value >= phi_v) {
-            VertexState& st = state_[v];
             st.started_new_dfs = true;
             st.previous_phi = message_phi_;
             message_phi_ = phi_v;
@@ -193,7 +201,13 @@ private:
     /// active plan the argmax runs over the residual neighborhood, so a dead
     /// neighbor can never be chosen — the DFS backtracks past it exactly as
     /// if it had been explored (graceful degradation, not a protocol error).
-    [[nodiscard]] BestNeighbor best_any_neighbor(Vertex v) const {
+    /// Once v's row is ordered, the argmax is its first entry.
+    [[nodiscard]] BestNeighbor best_any_neighbor(Vertex v, const VertexState& st) const {
+        if (st.order != kNoOrder) {
+            if (st.order_size == 0) return {};
+            const OrderEntry& first = orders_[st.order];
+            return {first.vertex, first.value};
+        }
         const auto neighbors = scan_neighbors(v);
         if (!faults_.active()) return objective_.best_of(neighbors);
         scratch_.resize(neighbors.size());
@@ -210,17 +224,43 @@ private:
     }
 
     /// Line 19: best u in Gamma(v) with u != v.parent and
-    /// m.Phi <= phi(u) < (objective of the child we returned from). The
-    /// neighbor objectives come from one batched values() call.
-    [[nodiscard]] Vertex best_unexplored_child(Vertex v, Vertex parent) const {
+    /// m.Phi <= phi(u) < (objective of the child we returned from), ties
+    /// toward the earlier row position. A hub is backtracked into about
+    /// once per child, so rescanning its row every time costs deg(v)^2 per
+    /// exhaustive walk. Instead, the bit_width(deg(v))-th backtrack into v
+    /// sorts its usable row once by (value desc, position asc); from then
+    /// on a query is one binary search on the upper bound plus at most one
+    /// skip (the parent). Waiting for that many backtracks keeps short
+    /// walks from sorting hubs they only pass through.
+    [[nodiscard]] Vertex next_child(Vertex v, VertexState& st) {
+        if (st.order == kNoOrder) {
+            const auto row = scan_neighbors(v);
+            scratch_.resize(row.size());
+            objective_.values(row, scratch_.data());
+            ++st.backtracks;
+            if (st.backtracks < static_cast<std::uint32_t>(std::bit_width(row.size())) ||
+                !build_order(v, st, row)) {
+                return scan_child(v, st.parent, row);
+            }
+        }
+        const std::span<const OrderEntry> order(orders_.data() + st.order, st.order_size);
         const double upper = backtrack_upper_;
-        const auto neighbors = scan_neighbors(v);
-        scratch_.resize(neighbors.size());
-        objective_.values(neighbors, scratch_.data());
+        auto it = std::partition_point(order.begin(), order.end(), [upper](const OrderEntry& e) {
+            return e.value >= upper;
+        });
+        for (; it != order.end() && it->value >= message_phi_; ++it) {
+            if (it->vertex != st.parent) return it->vertex;
+        }
+        return kNoVertex;
+    }
+
+    /// Line 19 by a full scan of `row`, whose objectives are in scratch_.
+    [[nodiscard]] Vertex scan_child(Vertex v, Vertex parent, std::span<const Vertex> row) const {
+        const double upper = backtrack_upper_;
         Vertex best = kNoVertex;
         double best_value = kNegInf;
-        for (std::size_t i = 0; i < neighbors.size(); ++i) {
-            const Vertex u = neighbors[i];
+        for (std::size_t i = 0; i < row.size(); ++i) {
+            const Vertex u = row[i];
             if (u == parent) continue;
             if (faults_.active() && !faults_.usable(v, u)) continue;
             const double value = scratch_[i];
@@ -230,6 +270,32 @@ private:
             }
         }
         return best;
+    }
+
+    /// Sorts v's usable row (objectives in scratch_) into orders_ and points
+    /// `st` at it. The usable filter is a pure function of the edge, and the
+    /// advertised row and claimed values are fixed per vertex, so the order
+    /// holds for the rest of the route. Rows holding a NaN or -inf value are
+    /// left to the scan, whose comparisons skip such values in a way a sort
+    /// cannot reproduce; finite objectives never produce them.
+    bool build_order(Vertex v, VertexState& st, std::span<const Vertex> row) {
+        const auto values = std::span<const double>(scratch_).first(row.size());
+        if (!std::all_of(values.begin(), values.end(), [](double x) { return x > kNegInf; })) {
+            return false;
+        }
+        const std::size_t begin = orders_.size();
+        for (std::size_t i = 0; i < row.size(); ++i) {
+            if (faults_.active() && !faults_.usable(v, row[i])) continue;
+            orders_.push_back({values[i], row[i], static_cast<std::uint32_t>(i)});
+        }
+        GIRG_CHECK(orders_.size() < kNoOrder, "Phi-DFS ordered rows overflow");
+        std::sort(orders_.begin() + static_cast<std::ptrdiff_t>(begin), orders_.end(),
+                  [](const OrderEntry& a, const OrderEntry& b) {
+                      return a.value > b.value || (a.value == b.value && a.position < b.position);
+                  });
+        st.order = static_cast<std::uint32_t>(begin);
+        st.order_size = static_cast<std::uint32_t>(orders_.size() - begin);
+        return true;
     }
 
     /// Appends a message move and returns the vertex the packet actually
@@ -308,13 +374,11 @@ private:
     const Objective& objective_;
     Vertex source_;
     std::size_t max_steps_;
-    bool prefetch_;
     FaultView faults_;        // route-scoped; inactive when no plan is set
     AdversaryView adversary_; // shared-state view; inactive when no plan is set
 
-    // Audited lookup-only (operator[]/find): never iterated, so hash order
-    // cannot reach the DFS decisions or any reported statistic.
-    std::unordered_map<Vertex, VertexState> state_;
+    VertexTable<VertexState> state_;
+    std::vector<OrderEntry> orders_;  // ordered rows, one contiguous run per vertex
     mutable std::vector<double> scratch_;  // neighbor objectives, reused per scan
     mutable std::vector<Vertex> adv_scratch_;  // advertised-neighbor merges
     double best_seen_ = kNegInf;

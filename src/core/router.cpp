@@ -1,17 +1,15 @@
 #include "core/router.h"
 
-#include <algorithm>
-#include <vector>
+#include "core/vertex_table.h"
 
 namespace smallworld {
 
 std::size_t RoutingResult::distinct_vertices() const {
-    // Sort-based count instead of a hash set: no hash-order anywhere near a
-    // reported statistic, and paths are short enough that the sort is free.
-    std::vector<Vertex> seen(path.begin(), path.end());
-    std::sort(seen.begin(), seen.end());
-    const auto last = std::unique(seen.begin(), seen.end());
-    return static_cast<std::size_t>(last - seen.begin());
+    // One pass over a vertex set sized from the path: linear in the path
+    // length, with no growth, and the set is never iterated.
+    VertexTable<VertexSetMark> seen(path.size());
+    for (const Vertex v : path) seen.try_emplace(v);
+    return seen.size();
 }
 
 Vertex best_neighbor(const GraphView& graph, const Objective& objective, Vertex v) {

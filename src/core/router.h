@@ -63,12 +63,6 @@ struct RoutingOptions {
     /// shareable across concurrent route() calls; composes with `faults`.
     const AdversaryState* adversary = nullptr;
 
-    /// Software-prefetch the chosen next hop's neighbor span in the greedy /
-    /// Φ-DFS walk loops before the move is committed. Purely a memory-system
-    /// hint: results are bit-identical either way. Off only for the bench
-    /// ablation cells that isolate its contribution.
-    bool prefetch = true;
-
     [[nodiscard]] std::size_t effective_max_steps(std::size_t num_vertices) const noexcept {
         return max_steps != 0 ? max_steps : 8 * num_vertices + 64;
     }
