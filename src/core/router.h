@@ -18,7 +18,8 @@ enum class RoutingStatus {
     kDeadEnd,    ///< packet dropped: greedy local optimum, or (under an
                  ///< active FaultPlan) a crashed source / retries exhausted
     kExhausted,  ///< a patching protocol explored s's whole component: t unreachable
-    kStepLimit,  ///< safety cap hit (indicates a protocol bug in our setting)
+    kStepLimit,  ///< step budget hit; the usual outcome of a Phi-DFS that starts
+                 ///< in the giant with its target outside it (see max_steps)
 };
 
 struct RoutingResult {
@@ -41,9 +42,12 @@ struct RoutingResult {
 };
 
 struct RoutingOptions {
-    /// Hard cap on message moves; 0 means "pick a generous default"
-    /// (8n + 64, enough for any (P2)/(P3)-conforming exploration of a
-    /// component while still catching infinite loops).
+    /// Hard cap on message moves; 0 means the default 8n + 64. That catches
+    /// infinite loops but does not cover a full exploration: Phi-DFS needs
+    /// 25.7-32.1 n steps to exhaust an n=2^15 giant, so at the default an
+    /// unreachable target seen from the giant ends in kStepLimit, not
+    /// kExhausted (EXPERIMENTS.md honest deviation 8; ROADMAP.md "Phi-DFS
+    /// step budget").
     std::size_t max_steps = 0;
 
     /// Optional fault injection (core/fault.h): when non-null and the plan

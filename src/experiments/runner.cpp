@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <memory>
+#include <numeric>
 #include <optional>
 #include <span>
 #include <stdexcept>
@@ -65,14 +66,12 @@ void TrialStats::merge(const TrialStats& other) {
 
 namespace {
 
-/// Vertex universe a trial may draw from.
-std::vector<Vertex> eligible_vertices(const Graph& graph, const Components& components,
-                                      bool restrict_to_giant) {
-    if (restrict_to_giant) return giant_component_vertices(components);
-    std::vector<Vertex> all(graph.num_vertices());
-    for (Vertex v = 0; v < graph.num_vertices(); ++v) all[v] = v;
-    return all;
-}
+/// Sources per target above which Phase A runs one full BFS from the target
+/// instead of one bidirectional s-t search per routed pair. Measured single
+/// threaded on giant pairs: a full BFS costs as much as 87 searches at
+/// n=2^15 (1137 us vs 13 us) and 101 at n=2^17 (4610 us vs 45 us), so up to
+/// 64 searches stay below one BFS at either size.
+constexpr std::size_t kFullBfsSourcesPerTarget = 64;
 
 /// Sources routed per Phase-B work item. Small enough that the slowest
 /// target's pairs spread across threads, large enough to amortize the
@@ -82,7 +81,7 @@ constexpr std::size_t kSourcesPerBlock = 16;
 /// Per-target state produced by Phase A and shared read-only by Phase B.
 struct TargetContext {
     Vertex target = kNoVertex;
-    std::vector<std::int32_t> dist;
+    std::vector<std::int32_t> dist;  ///< full BFS row; empty unless full_bfs
 };
 
 TrialStats run_trials_impl(const Graph& graph, const Router& router,
@@ -108,17 +107,22 @@ TrialStats run_trials_impl(const Graph& graph, const Router& router,
     routing_options.faults = fault_state.has_value() ? &*fault_state : nullptr;
     routing_options.adversary =
         adversary_state.has_value() ? &*adversary_state : nullptr;
-    const Components components = connected_components(graph);
-    const std::vector<Vertex> pool =
-        eligible_vertices(graph, components, config.restrict_to_giant);
+    // Vertex universe a trial draws from: every vertex, or the giant's.
+    std::vector<Vertex> pool(config.restrict_to_giant ? 0 : graph.num_vertices());
+    std::iota(pool.begin(), pool.end(), Vertex{0});
+    if (config.restrict_to_giant) pool = giant_component_vertices(connected_components(graph));
     if (pool.size() < 2) throw std::invalid_argument("run_trials: vertex pool too small");
+    const bool full_bfs = config.min_graph_distance > 0 ||
+                          config.sources_per_target > kFullBfsSourcesPerTarget;
 
     // Two-phase pipeline with counter-seeded streams, so the dynamic
     // assignment of work items to threads never changes the results:
-    // Phase A (stream t): pick target t and run its BFS. Phase B (stream
-    // targets + item): route a block of sources toward its target, with a
-    // private objective instance per block — objectives memoize phi behind
-    // const, so they must not be shared across workers.
+    // Phase A (stream t): pick target t; run its full BFS when rejection
+    // sampling reads every candidate's distance or many sources share it.
+    // Phase B (stream targets + item): route a block of sources toward its
+    // target, each pair's exact distance read from that row or from one
+    // bidirectional search, with a private objective per block — objectives
+    // memoize phi behind const, so they must not be shared across workers.
     const RngStreams streams(seed);
 
     std::vector<TargetContext> contexts(config.targets);
@@ -128,6 +132,7 @@ TrialStats run_trials_impl(const Graph& graph, const Router& router,
             Rng rng = streams.stream(target_index);
             TargetContext& ctx = contexts[target_index];
             ctx.target = pool[rng.uniform_index(pool.size())];
+            if (!full_bfs) return;
             // Nested parallel_for runs inline when the pool is busy with the
             // target loop, so BFS parallelism kicks in exactly when there
             // are fewer targets than workers.
@@ -145,7 +150,6 @@ TrialStats run_trials_impl(const Graph& graph, const Router& router,
             const std::size_t block = item % blocks_per_target;
             const TargetContext& ctx = contexts[target_index];
             const Vertex target = ctx.target;
-            const std::vector<std::int32_t>& dist = ctx.dist;
             Rng rng = streams.stream(config.targets + item);
             TrialStats& stats = per_block[item];
             // One objective per ≤16-source block: the cohort shares its memo
@@ -165,8 +169,8 @@ TrialStats run_trials_impl(const Graph& graph, const Router& router,
                     const Vertex candidate = pool[rng.uniform_index(pool.size())];
                     if (candidate == target) continue;
                     if (config.min_graph_distance > 0 &&
-                        (dist[candidate] == kUnreachable ||
-                         dist[candidate] < config.min_graph_distance)) {
+                        (ctx.dist[candidate] == kUnreachable ||
+                         ctx.dist[candidate] < config.min_graph_distance)) {
                         continue;
                     }
                     source = candidate;
@@ -175,7 +179,9 @@ TrialStats run_trials_impl(const Graph& graph, const Router& router,
                 if (source == target) continue;  // no eligible source found
 
                 ++stats.attempts;
-                const bool reachable = dist[source] != kUnreachable;
+                const std::int32_t distance =
+                    full_bfs ? ctx.dist[source] : bfs_distance(graph, source, target);
+                const bool reachable = distance != kUnreachable;
                 if (reachable) ++stats.same_component;
 
                 const RoutingResult result =
@@ -192,10 +198,10 @@ TrialStats run_trials_impl(const Graph& graph, const Router& router,
                         if (reachable) {
                             ++stats.delivered_in_component;
                             stats.hops.add(static_cast<double>(result.steps()));
-                            stats.bfs_distance.add(static_cast<double>(dist[source]));
-                            if (dist[source] > 0) {
+                            stats.bfs_distance.add(static_cast<double>(distance));
+                            if (distance > 0) {
                                 stats.stretch.add(static_cast<double>(result.steps()) /
-                                                  static_cast<double>(dist[source]));
+                                                  static_cast<double>(distance));
                             }
                         }
                         break;

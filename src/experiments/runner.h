@@ -25,7 +25,7 @@ using ObjectiveFactory =
 
 /// How source/target pairs are drawn.
 struct TrialConfig {
-    std::size_t targets = 8;             ///< distinct targets (one BFS each)
+    std::size_t targets = 8;             ///< distinct targets
     std::size_t sources_per_target = 64; ///< routed pairs per target
     /// Restrict s and t to the giant component. Theorem 3.1/3.2 talk about
     /// arbitrary pairs (failures from isolated targets count), Theorems
@@ -88,7 +88,9 @@ struct TrialStats {
 };
 
 /// Routes `targets x sources_per_target` pairs of the GIRG with the given
-/// protocol and objective; stretch is exact (one BFS per target).
+/// protocol and objective; stretch is exact (one full BFS per target when
+/// min_graph_distance > 0 or many sources share a target, else one
+/// bidirectional search per pair).
 /// Deterministic for a fixed seed, independent of thread count.
 [[nodiscard]] TrialStats run_girg_trials(const Girg& girg, const Router& router,
                                          const ObjectiveFactory& factory,

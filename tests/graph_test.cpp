@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <set>
 
+#include "girg/generator.h"
 #include "graph/bfs.h"
 #include "graph/components.h"
 #include "graph/core_decomposition.h"
@@ -229,6 +230,44 @@ TEST(Bfs, BidirectionalMatchesFull) {
         const auto t = static_cast<Vertex>(rng.uniform_index(n));
         const auto full = bfs_distances(g, s);
         EXPECT_EQ(bfs_distance(g, s, t), full[t]) << "s=" << s << " t=" << t;
+    }
+}
+
+TEST(Bfs, BidirectionalMatchesFullAcrossComponents) {
+    // A sparse GIRG with a giant and hundreds of small components: the
+    // bidirectional search must agree with a full BFS row for every class of
+    // pair, including the unreachable ones where one side runs dry first.
+    GirgParams params{.n = 4096, .dim = 2, .alpha = 2.0, .beta = 2.5,
+                      .wmin = 1.0, .edge_scale = 1.0};
+    params.edge_scale = calibrated_edge_scale(params);
+    const Girg girg = generate_girg(params, 4242);
+    const Graph& g = girg.graph;
+    const Components comps = connected_components(g);
+    std::vector<std::vector<Vertex>> members(comps.count());
+    for (Vertex v = 0; v < g.num_vertices(); ++v) members[comps.label[v]].push_back(v);
+    const std::vector<Vertex>& giant = members[comps.giant];
+    std::vector<const std::vector<Vertex>*> small;  // non-giant, >= 2 vertices
+    for (std::uint32_t id = 0; id < comps.count(); ++id) {
+        if (id != comps.giant && members[id].size() >= 2) small.push_back(&members[id]);
+    }
+    ASSERT_GE(small.size(), 100u);
+
+    const auto check = [&](Vertex s, Vertex t) {
+        const std::int32_t full = bfs_distances(g, s)[t];
+        EXPECT_EQ(full != kUnreachable, comps.same_component(s, t)) << "s=" << s << " t=" << t;
+        EXPECT_EQ(bfs_distance(g, s, t), full) << "s=" << s << " t=" << t;
+    };
+    Rng rng(12);
+    for (int trial = 0; trial < 40; ++trial) {
+        const Vertex a = giant[rng.uniform_index(giant.size())];
+        const Vertex b = giant[rng.uniform_index(giant.size())];
+        const std::vector<Vertex>& c = *small[rng.uniform_index(small.size())];
+        const std::vector<Vertex>& d = *small[rng.uniform_index(small.size())];
+        check(a, b);                 // giant - giant
+        check(a, c.front());         // giant - small
+        check(c.front(), a);         // small - giant
+        check(c.front(), c.back());  // same small component
+        if (&c != &d) check(c.back(), d.front());  // two small components
     }
 }
 

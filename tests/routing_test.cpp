@@ -3,6 +3,7 @@
 #include <cmath>
 #include <limits>
 #include <memory>
+#include <ostream>
 
 #include "core/fault.h"
 #include "core/faulty.h"
@@ -474,6 +475,11 @@ struct RouterCase {
     const char* name;
     RouterFactory make;
 };
+
+// Without a PrintTo, gtest prints the parameter's raw bytes, and the factory
+// pointer among them moves with ASLR; printing the name keeps the ctest
+// names stable from build to build.
+void PrintTo(const RouterCase& router_case, std::ostream* os) { *os << router_case.name; }
 
 class AllRoutersBudget : public ::testing::TestWithParam<RouterCase> {};
 
