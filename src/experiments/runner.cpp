@@ -8,6 +8,7 @@
 #include <stdexcept>
 #include <vector>
 
+#include "core/annotations.h"
 #include "core/thread_pool.h"
 #include "graph/bfs.h"
 #include "graph/components.h"
@@ -66,13 +67,6 @@ void TrialStats::merge(const TrialStats& other) {
 
 namespace {
 
-/// Sources per target above which Phase A runs one full BFS from the target
-/// instead of one bidirectional s-t search per routed pair. Measured single
-/// threaded on giant pairs: a full BFS costs as much as 87 searches at
-/// n=2^15 (1137 us vs 13 us) and 101 at n=2^17 (4610 us vs 45 us), so up to
-/// 64 searches stay below one BFS at either size.
-constexpr std::size_t kFullBfsSourcesPerTarget = 64;
-
 /// Sources routed per Phase-B work item. Small enough that the slowest
 /// target's pairs spread across threads, large enough to amortize the
 /// per-block objective construction.
@@ -82,6 +76,38 @@ constexpr std::size_t kSourcesPerBlock = 16;
 struct TargetContext {
     Vertex target = kNoVertex;
     std::vector<std::int32_t> dist;  ///< full BFS row; empty unless full_bfs
+};
+
+/// Mutex-guarded freelist of s-t search workspaces for one run. Each Phase-B
+/// block borrows one, so at most one per concurrently running block is ever
+/// allocated, and a search pays only for the vertices it touches instead of
+/// filling two n-sized label rows. A workspace returns clean from every
+/// search, so which one a block draws cannot change a distance.
+class SearchPool {
+public:
+    explicit SearchPool(const Graph& graph) : graph_(graph) {}
+
+    [[nodiscard]] std::unique_ptr<BidirectionalBfs> acquire() {
+        {
+            const MutexLock lock(mutex_);
+            if (!free_.empty()) {
+                std::unique_ptr<BidirectionalBfs> search = std::move(free_.back());
+                free_.pop_back();
+                return search;
+            }
+        }
+        return std::make_unique<BidirectionalBfs>(graph_);
+    }
+
+    void release(std::unique_ptr<BidirectionalBfs> search) {
+        const MutexLock lock(mutex_);
+        free_.push_back(std::move(search));
+    }
+
+private:
+    const Graph& graph_;
+    Mutex mutex_;
+    std::vector<std::unique_ptr<BidirectionalBfs>> free_ GIRG_GUARDED_BY(mutex_);
 };
 
 TrialStats run_trials_impl(const Graph& graph, const Router& router,
@@ -112,33 +138,40 @@ TrialStats run_trials_impl(const Graph& graph, const Router& router,
     std::iota(pool.begin(), pool.end(), Vertex{0});
     if (config.restrict_to_giant) pool = giant_component_vertices(connected_components(graph));
     if (pool.size() < 2) throw std::invalid_argument("run_trials: vertex pool too small");
-    const bool full_bfs = config.min_graph_distance > 0 ||
-                          config.sources_per_target > kFullBfsSourcesPerTarget;
+    // Rejection sampling reads every candidate's distance, so a distance
+    // floor needs the target's full BFS row; otherwise each routed pair
+    // costs one bidirectional search.
+    const bool full_bfs = config.min_graph_distance > 0;
 
     // Two-phase pipeline with counter-seeded streams, so the dynamic
     // assignment of work items to threads never changes the results:
-    // Phase A (stream t): pick target t; run its full BFS when rejection
-    // sampling reads every candidate's distance or many sources share it.
+    // Phase A (stream t): pick target t, and run its full BFS when a
+    // distance floor is set.
     // Phase B (stream targets + item): route a block of sources toward its
     // target, each pair's exact distance read from that row or from one
-    // bidirectional search, with a private objective per block — objectives
-    // memoize phi behind const, so they must not be shared across workers.
+    // bidirectional search in a pooled workspace, with a private objective
+    // per block — objectives memoize phi behind const, so they must not be
+    // shared across workers.
     const RngStreams streams(seed);
 
     std::vector<TargetContext> contexts(config.targets);
-    parallel_for(
-        config.targets,
-        [&](std::size_t target_index) {
-            Rng rng = streams.stream(target_index);
-            TargetContext& ctx = contexts[target_index];
-            ctx.target = pool[rng.uniform_index(pool.size())];
-            if (!full_bfs) return;
-            // Nested parallel_for runs inline when the pool is busy with the
-            // target loop, so BFS parallelism kicks in exactly when there
-            // are fewer targets than workers.
-            ctx.dist = bfs_distances(graph, ctx.target, config.threads);
-        },
-        config.threads);
+    for (std::size_t target_index = 0; target_index < config.targets; ++target_index) {
+        Rng rng = streams.stream(target_index);
+        contexts[target_index].target = pool[rng.uniform_index(pool.size())];
+    }
+    if (full_bfs) {
+        parallel_for(
+            config.targets,
+            [&](std::size_t target_index) {
+                TargetContext& ctx = contexts[target_index];
+                // Nested parallel_for runs inline when the pool is busy with
+                // the target loop, so BFS parallelism kicks in exactly when
+                // there are fewer targets than workers.
+                ctx.dist = bfs_distances(graph, ctx.target, config.threads);
+            },
+            config.threads);
+    }
+    SearchPool searches(graph);
 
     const std::size_t blocks_per_target =
         (config.sources_per_target + kSourcesPerBlock - 1) / kSourcesPerBlock;
@@ -157,6 +190,7 @@ TrialStats run_trials_impl(const Graph& graph, const Router& router,
             // all sources routed toward this target; factories built with a
             // PhiMemoPool additionally recycle tables across blocks.
             const auto objective = factory(target);
+            std::unique_ptr<BidirectionalBfs> search = full_bfs ? nullptr : searches.acquire();
 
             const std::size_t first = block * kSourcesPerBlock;
             const std::size_t last =
@@ -180,7 +214,7 @@ TrialStats run_trials_impl(const Graph& graph, const Router& router,
 
                 ++stats.attempts;
                 const std::int32_t distance =
-                    full_bfs ? ctx.dist[source] : bfs_distance(graph, source, target);
+                    full_bfs ? ctx.dist[source] : search->distance(source, target);
                 const bool reachable = distance != kUnreachable;
                 if (reachable) ++stats.same_component;
 
@@ -217,6 +251,7 @@ TrialStats run_trials_impl(const Graph& graph, const Router& router,
                         break;
                 }
             }
+            if (search != nullptr) searches.release(std::move(search));
         },
         config.threads);
 

@@ -88,9 +88,9 @@ struct TrialStats {
 };
 
 /// Routes `targets x sources_per_target` pairs of the GIRG with the given
-/// protocol and objective; stretch is exact (one full BFS per target when
-/// min_graph_distance > 0 or many sources share a target, else one
-/// bidirectional search per pair).
+/// protocol and objective; stretch is exact (one bidirectional search per
+/// pair in a reused workspace, or one full BFS per target when
+/// min_graph_distance > 0).
 /// Deterministic for a fixed seed, independent of thread count.
 [[nodiscard]] TrialStats run_girg_trials(const Girg& girg, const Router& router,
                                          const ObjectiveFactory& factory,

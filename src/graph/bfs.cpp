@@ -100,57 +100,69 @@ std::vector<std::int32_t> bfs_distances_bounded(const GraphView& graph, Vertex s
     return dist;
 }
 
-namespace {
-
-/// One BFS frontier expansion for the bidirectional search; returns the
-/// meeting distance if the opposite side has already labeled a vertex.
-struct Side {
-    std::vector<std::int32_t> dist;
-    std::vector<Vertex> frontier;
-    std::int32_t depth = 0;
-};
-
-std::int32_t expand(const GraphView& graph, Side& self, const Side& other,
-                    std::int32_t best_so_far) {
-    std::vector<Vertex> next;
-    ++self.depth;
-    for (const Vertex u : self.frontier) {
-        for (const Vertex v : graph.neighbors(u)) {
-            if (self.dist[v] != kUnreachable) continue;
-            self.dist[v] = self.depth;
-            if (other.dist[v] != kUnreachable) {
-                const std::int32_t through = self.depth + other.dist[v];
-                if (best_so_far == kUnreachable || through < best_so_far) best_so_far = through;
-            }
-            next.push_back(v);
-        }
-    }
-    self.frontier.swap(next);
-    return best_so_far;
+BidirectionalBfs::BidirectionalBfs(const GraphView& graph) : graph_(graph) {
+    fwd_.dist.assign(graph.num_vertices(), kUnreachable);
+    bwd_.dist.assign(graph.num_vertices(), kUnreachable);
 }
 
-}  // namespace
+void BidirectionalBfs::Side::start(Vertex root) {
+    dist[root] = 0;
+    order.push_back(root);
+    frontier_begin = 0;
+    depth = 0;
+}
 
-std::int32_t bfs_distance(const GraphView& graph, Vertex s, Vertex t) {
-    GIRG_CHECK(s < graph.num_vertices() && t < graph.num_vertices(), "s=", s,
-               " t=", t, " n=", graph.num_vertices());
-    if (s == t) return 0;
-    Side fwd{std::vector<std::int32_t>(graph.num_vertices(), kUnreachable), {s}, 0};
-    Side bwd{std::vector<std::int32_t>(graph.num_vertices(), kUnreachable), {t}, 0};
-    fwd.dist[s] = 0;
-    bwd.dist[t] = 0;
-    std::int32_t best = kUnreachable;
-    while (!fwd.frontier.empty() && !bwd.frontier.empty()) {
-        // Once a meeting point exists, one more expansion of each side cannot
-        // improve below (sum of current depths); stop when that bound is met.
-        if (best != kUnreachable && best <= fwd.depth + bwd.depth) return best;
-        if (fwd.frontier.size() <= bwd.frontier.size()) {
-            best = expand(graph, fwd, bwd, best);
-        } else {
-            best = expand(graph, bwd, fwd, best);
+void BidirectionalBfs::Side::reset() {
+    for (const Vertex v : order) dist[v] = kUnreachable;
+    order.clear();
+}
+
+std::int32_t BidirectionalBfs::expand(Side& self, const Side& other) {
+    // Before this call no vertex carries both labels (the previous call
+    // would have returned), and self has labelled everything within
+    // self.depth hops of its root, other everything within other.depth of
+    // its own. So a shortest s-t path leaves self's ball through a vertex
+    // at self.depth whose remaining distance to the other root exceeds
+    // other.depth: dist(s, t) >= (self.depth + 1) + other.depth. The first
+    // vertex labelled at self.depth + 1 that other has labelled closes a
+    // walk of length self.depth + 1 + other.dist[v] <= that bound, so its
+    // length is exact — the same value as the minimum over the whole level.
+    const std::size_t end = self.order.size();
+    const std::int32_t depth = ++self.depth;
+    for (std::size_t i = self.frontier_begin; i < end; ++i) {
+        for (const Vertex v : graph_.neighbors(self.order[i])) {
+            if (self.dist[v] != kUnreachable) continue;
+            self.dist[v] = depth;
+            self.order.push_back(v);
+            if (other.dist[v] != kUnreachable) return depth + other.dist[v];
         }
     }
-    return best;
+    self.frontier_begin = end;
+    return kUnreachable;
+}
+
+std::int32_t BidirectionalBfs::distance(Vertex s, Vertex t) {
+    GIRG_CHECK(s < graph_.num_vertices() && t < graph_.num_vertices(), "s=", s,
+               " t=", t, " n=", graph_.num_vertices());
+    if (s == t) return 0;
+    fwd_.start(s);
+    bwd_.start(t);
+    std::int32_t found = kUnreachable;
+    // Expand the narrower frontier; a side that runs dry has labelled its
+    // whole component without meeting the other, so s and t are disconnected.
+    while (found == kUnreachable) {
+        const std::size_t fwd_width = fwd_.order.size() - fwd_.frontier_begin;
+        const std::size_t bwd_width = bwd_.order.size() - bwd_.frontier_begin;
+        if (fwd_width == 0 || bwd_width == 0) break;
+        found = fwd_width <= bwd_width ? expand(fwd_, bwd_) : expand(bwd_, fwd_);
+    }
+    fwd_.reset();
+    bwd_.reset();
+    return found;
+}
+
+std::int32_t bfs_distance(const GraphView& graph, Vertex s, Vertex t) {
+    return BidirectionalBfs(graph).distance(s, t);
 }
 
 std::vector<Vertex> shortest_path(const GraphView& graph, Vertex s, Vertex t) {

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <set>
+#include <utility>
 
 #include "girg/generator.h"
 #include "graph/bfs.h"
@@ -233,23 +234,43 @@ TEST(Bfs, BidirectionalMatchesFull) {
     }
 }
 
-TEST(Bfs, BidirectionalMatchesFullAcrossComponents) {
-    // A sparse GIRG with a giant and hundreds of small components: the
-    // bidirectional search must agree with a full BFS row for every class of
-    // pair, including the unreachable ones where one side runs dry first.
+/// A sparse n=4096 GIRG with a giant and hundreds of small components,
+/// its vertices grouped by component.
+struct FragmentedFixture {
+    Girg girg;
+    Components comps;
+    std::vector<Vertex> giant;
+    std::vector<std::vector<Vertex>> small;  // non-giant, >= 2 vertices each
+};
+
+FragmentedFixture fragmented_fixture() {
     GirgParams params{.n = 4096, .dim = 2, .alpha = 2.0, .beta = 2.5,
                       .wmin = 1.0, .edge_scale = 1.0};
     params.edge_scale = calibrated_edge_scale(params);
-    const Girg girg = generate_girg(params, 4242);
-    const Graph& g = girg.graph;
-    const Components comps = connected_components(g);
-    std::vector<std::vector<Vertex>> members(comps.count());
-    for (Vertex v = 0; v < g.num_vertices(); ++v) members[comps.label[v]].push_back(v);
-    const std::vector<Vertex>& giant = members[comps.giant];
-    std::vector<const std::vector<Vertex>*> small;  // non-giant, >= 2 vertices
-    for (std::uint32_t id = 0; id < comps.count(); ++id) {
-        if (id != comps.giant && members[id].size() >= 2) small.push_back(&members[id]);
+    FragmentedFixture fixture{generate_girg(params, 4242), {}, {}, {}};
+    const Graph& g = fixture.girg.graph;
+    fixture.comps = connected_components(g);
+    std::vector<std::vector<Vertex>> members(fixture.comps.count());
+    for (Vertex v = 0; v < g.num_vertices(); ++v) members[fixture.comps.label[v]].push_back(v);
+    for (std::uint32_t id = 0; id < fixture.comps.count(); ++id) {
+        if (id == fixture.comps.giant) {
+            fixture.giant = std::move(members[id]);
+        } else if (members[id].size() >= 2) {
+            fixture.small.push_back(std::move(members[id]));
+        }
     }
+    return fixture;
+}
+
+TEST(Bfs, BidirectionalMatchesFullAcrossComponents) {
+    // The bidirectional search must agree with a full BFS row for every
+    // class of pair, including the unreachable ones where one side runs dry
+    // first.
+    const FragmentedFixture fixture = fragmented_fixture();
+    const Graph& g = fixture.girg.graph;
+    const Components& comps = fixture.comps;
+    const std::vector<Vertex>& giant = fixture.giant;
+    const std::vector<std::vector<Vertex>>& small = fixture.small;
     ASSERT_GE(small.size(), 100u);
 
     const auto check = [&](Vertex s, Vertex t) {
@@ -261,14 +282,58 @@ TEST(Bfs, BidirectionalMatchesFullAcrossComponents) {
     for (int trial = 0; trial < 40; ++trial) {
         const Vertex a = giant[rng.uniform_index(giant.size())];
         const Vertex b = giant[rng.uniform_index(giant.size())];
-        const std::vector<Vertex>& c = *small[rng.uniform_index(small.size())];
-        const std::vector<Vertex>& d = *small[rng.uniform_index(small.size())];
+        const std::vector<Vertex>& c = small[rng.uniform_index(small.size())];
+        const std::vector<Vertex>& d = small[rng.uniform_index(small.size())];
         check(a, b);                 // giant - giant
         check(a, c.front());         // giant - small
         check(c.front(), a);         // small - giant
         check(c.front(), c.back());  // same small component
         if (&c != &d) check(c.back(), d.front());  // two small components
     }
+}
+
+TEST(Bfs, BidirectionalWorkspaceReuse) {
+    // One search object answers every pair. Reachable and unreachable pairs
+    // alternate, so each search runs on rows the previous one wrote into —
+    // including the partial giant ball an unreachable giant-small search
+    // leaves behind; a slot left unreset shows up as a wrong later distance.
+    const FragmentedFixture fixture = fragmented_fixture();
+    const Graph& g = fixture.girg.graph;
+    const std::vector<Vertex>& giant = fixture.giant;
+    const std::vector<std::vector<Vertex>>& small = fixture.small;
+    ASSERT_GE(small.size(), 100u);
+
+    BidirectionalBfs search(g);
+    Rng rng(13);
+    const auto pick = [&](const std::vector<Vertex>& members) {
+        return members[rng.uniform_index(members.size())];
+    };
+    std::size_t reachable = 0;
+    constexpr int kPairs = 1200;
+    for (int i = 0; i < kPairs; ++i) {
+        const std::vector<Vertex>& c = small[rng.uniform_index(small.size())];
+        const std::vector<Vertex>* d = &c;
+        while (d == &c) d = &small[rng.uniform_index(small.size())];
+        std::pair<Vertex, Vertex> pair;
+        switch (i % 6) {  // even cases reachable, odd ones not
+            case 0: pair = {pick(giant), pick(giant)}; break;  // giant - giant
+            case 1: pair = {pick(giant), pick(c)}; break;      // giant - small
+            case 2: pair = {c.front(), c.back()}; break;       // same small
+            case 3: pair = {pick(c), pick(*d)}; break;         // two small
+            case 4: {                                         // s == t
+                const Vertex v = pick(i % 12 == 4 ? giant : c);
+                pair = {v, v};
+                break;
+            }
+            default: pair = {pick(c), pick(giant)}; break;     // small - giant
+        }
+        const auto [s, t] = pair;
+        const std::int32_t full = bfs_distances(g, s)[t];
+        EXPECT_EQ(full != kUnreachable, i % 2 == 0) << "i=" << i << " s=" << s << " t=" << t;
+        EXPECT_EQ(search.distance(s, t), full) << "i=" << i << " s=" << s << " t=" << t;
+        if (full != kUnreachable) ++reachable;
+    }
+    EXPECT_EQ(reachable, static_cast<std::size_t>(kPairs / 2));
 }
 
 TEST(Bfs, BidirectionalSameVertex) {

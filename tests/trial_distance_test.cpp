@@ -70,10 +70,12 @@ struct TrialKey {
     std::uint64_t expected;
 };
 
-// sources_per_target 64 and 65 straddle the runner's switch from one
-// bidirectional search per pair to one full BFS per target
-// (kFullBfsSourcesPerTarget); min_graph_distance > 0 always takes the full
-// BFS. Captured on the runner that ran a full BFS for every target.
+// Without a distance floor every row takes one bidirectional search per
+// routed pair; min_graph_distance > 0 takes one full BFS per target. The
+// first eleven rows were captured on the runner that ran a full BFS for
+// every target. The two 512-source rows were captured on the runner that
+// still ran a full BFS above 64 sources per target, so they pin the
+// per-pair search against full BFS rows well past that old switch.
 constexpr TrialKey kReference[] = {
     {64, 1, false, 0, 0xd4a13b2fc6f97291ULL},  {64, 1, true, 0, 0x68ec3976230d39a3ULL},
     {16, 16, false, 0, 0xa25a2ea333c061bfULL}, {16, 16, true, 0, 0xedf4dd956f8890edULL},
@@ -81,6 +83,7 @@ constexpr TrialKey kReference[] = {
     {8, 65, false, 0, 0x7f400e61b62b4034ULL},  {8, 65, true, 0, 0xf30158e31a1bbb5fULL},
     {8, 256, false, 0, 0x1b4e49a83532b842ULL}, {8, 256, true, 0, 0x2e5bd4a81ebe0332ULL},
     {16, 16, false, 3, 0x1d8ede3b5eca6286ULL},
+    {4, 512, false, 0, 0xf77331d3aa6a33b9ULL}, {4, 512, true, 0, 0x5a1bc8347ea78ccbULL},
 };
 
 TEST(TrialDistance, FixtureIsFragmented) {
